@@ -20,7 +20,7 @@ package cpu
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"smistudy/internal/obs"
 	"smistudy/internal/sim"
@@ -137,7 +137,8 @@ type Thread struct {
 	model *Model
 	pin   int // logical CPU the thread is pinned to, -1 if unpinned
 
-	job     *job
+	job     *job     // outstanding work (points at jobBuf), nil if none
+	jobBuf  job      // reused by every StartCompute on this thread
 	cpu     *Logical // current assignment, nil if none
 	rate    float64  // current ops/sec
 	osShare float64  // current share of a CPU as the OS accounts it
@@ -161,12 +162,20 @@ type job struct {
 }
 
 // Model is the processor of one node.
+//
+// Rescheduling runs on every job start, completion and stall edge, so it
+// allocates and sorts nothing: logical is built in scheduling order once,
+// threads is kept in ascending id order (ids are handed out
+// monotonically), and the per-reschedule scratch slices are reused.
 type Model struct {
 	eng      *sim.Engine
 	par      Params
-	logical  []*Logical
-	threads  map[*Thread]struct{}
-	runnable []*Thread
+	logical  []*Logical // in ID order, which is also scheduling order
+	threads  []*Thread  // registered threads, ascending id
+	runnable []*Thread  // threads with a job, ascending id
+
+	online   []*Logical // assign scratch
+	unpinned []*Thread  // assign scratch
 
 	stalled    bool
 	stallDepth int
@@ -174,11 +183,11 @@ type Model struct {
 
 	lastUpdate sim.Time
 	completion *sim.Event
+	completeFn func() // completion-event callback, bound once in New
 	nextTID    int
 
-	tr           obs.Tracer // nil unless the run is traced
-	node         int32
-	schedScratch []*Thread // reused by emitSched to avoid per-reschedule allocs
+	tr   obs.Tracer // nil unless the run is traced
+	node int32
 }
 
 // SetTracer attaches an observability tracer; scheduling events carry
@@ -192,14 +201,20 @@ func (m *Model) SetTracer(tr obs.Tracer, node int) {
 // New builds a processor model attached to engine e. With HTT enabled the
 // model exposes 2×PhysCores logical CPUs, numbered like Linux: CPU i and
 // CPU i+PhysCores are siblings on physical core i. All CPUs start online.
+//
+// That numbering makes ID order the scheduling order — every sibling-0
+// CPU (one per physical core) before any sibling-1 CPU — so assignment,
+// which walks logical CPUs in ID order, spreads across physical cores
+// before doubling up. The set never changes; hotplug only flips online.
 func New(e *sim.Engine, par Params) (*Model, error) {
 	if err := par.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Model{
-		eng:     e,
-		par:     par,
-		threads: make(map[*Thread]struct{}),
+	m := &Model{eng: e, par: par}
+	m.completeFn = func() {
+		m.completion = nil
+		m.advance()
+		m.settle()
 	}
 	n := par.PhysCores
 	if par.HTT {
@@ -256,7 +271,9 @@ func (m *Model) SetOnline(id int, online bool) error {
 	if m.logical[id].online == online {
 		return nil
 	}
-	m.reconfigure(func() { m.logical[id].online = online })
+	m.advance()
+	m.logical[id].online = online
+	m.settle()
 	return nil
 }
 
@@ -267,34 +284,20 @@ func (m *Model) OnlineFirst(n int) error {
 	if n < 1 || n > len(m.logical) {
 		return fmt.Errorf("cpu: cannot online %d of %d CPUs", n, len(m.logical))
 	}
-	order := m.schedOrder()
-	m.reconfigure(func() {
-		for i, l := range order {
-			l.online = i < n
-		}
-	})
+	m.advance()
+	for i, l := range m.logical { // ID order is scheduling order
+		l.online = i < n
+	}
+	m.settle()
 	return nil
 }
 
-// schedOrder returns all logical CPUs sorted sibling-0 cores first, so
-// assignment spreads across physical cores before doubling up.
-func (m *Model) schedOrder() []*Logical {
-	order := make([]*Logical, len(m.logical))
-	copy(order, m.logical)
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Sib != order[j].Sib {
-			return order[i].Sib < order[j].Sib
-		}
-		return order[i].Phys < order[j].Phys
-	})
-	return order
-}
-
-// NewThread registers a thread with the given workload profile.
+// NewThread registers a thread with the given workload profile. Ids grow
+// monotonically, so appending keeps threads in ascending id order.
 func (m *Model) NewThread(name string, prof Profile) *Thread {
 	m.nextTID++
 	t := &Thread{id: m.nextTID, name: name, prof: prof, model: m, pin: -1, lastCPU: -1}
-	m.threads[t] = struct{}{}
+	m.threads = append(m.threads, t)
 	return t
 }
 
@@ -306,26 +309,34 @@ func (m *Model) Pin(t *Thread, logicalID int) error {
 	if logicalID < 0 || logicalID >= len(m.logical) {
 		return fmt.Errorf("cpu: no logical cpu %d", logicalID)
 	}
-	m.reconfigure(func() { t.pin = logicalID })
+	m.advance()
+	t.pin = logicalID
+	m.settle()
 	return nil
 }
 
 // Unpin removes a thread's affinity restriction.
 func (m *Model) Unpin(t *Thread) {
-	m.reconfigure(func() { t.pin = -1 })
+	m.advance()
+	t.pin = -1
+	m.settle()
 }
 
 // Remove unregisters a thread. Any outstanding job is abandoned.
 func (m *Model) Remove(t *Thread) {
-	m.reconfigure(func() {
-		t.job = nil
-		delete(m.threads, t)
-	})
+	m.advance()
+	t.job = nil
+	if i := slices.Index(m.threads, t); i >= 0 {
+		m.threads = slices.Delete(m.threads, i, i+1)
+	}
+	m.settle()
 }
 
 // SetProfile changes a thread's workload profile (takes effect at once).
 func (m *Model) SetProfile(t *Thread, prof Profile) {
-	m.reconfigure(func() { t.prof = prof })
+	m.advance()
+	t.prof = prof
+	m.settle()
 }
 
 // StartCompute enqueues ops operations for thread t; onDone fires (as an
@@ -340,37 +351,38 @@ func (m *Model) StartCompute(t *Thread, ops float64, onDone func()) {
 		m.eng.At(m.eng.Now(), onDone)
 		return
 	}
-	m.reconfigure(func() {
-		t.job = &job{remaining: ops, total: ops, onDone: onDone}
-	})
+	m.advance()
+	t.jobBuf = job{remaining: ops, total: ops, onDone: onDone}
+	t.job = &t.jobBuf
+	m.settle()
 }
 
 // Compute runs ops operations on t, blocking the calling process until
-// the work completes.
+// the work completes. The completion resumes p through its cached
+// Waker, so blocking allocates nothing.
 func (t *Thread) Compute(p *sim.Proc, ops float64) {
-	wake, wait := p.Wait()
-	t.model.StartCompute(t, ops, func() { wake(nil) })
-	wait()
+	t.model.StartCompute(t, ops, p.Waker())
+	p.Park()
 }
 
 // Stall freezes every logical CPU (System Management Mode entry). Nested
 // stalls are reference-counted; the processor resumes when every Stall has
 // been matched by an Unstall.
 func (m *Model) Stall() {
-	m.reconfigure(func() {
-		m.stallDepth++
-		m.stalled = true
-	})
+	m.advance()
+	m.stallDepth++
+	m.stalled = true
+	m.settle()
 }
 
 // Unstall releases one Stall.
 func (m *Model) Unstall() {
-	m.reconfigure(func() {
-		if m.stallDepth > 0 {
-			m.stallDepth--
-		}
-		m.stalled = m.stallDepth > 0
-	})
+	m.advance()
+	if m.stallDepth > 0 {
+		m.stallDepth--
+	}
+	m.stalled = m.stallDepth > 0
+	m.settle()
 }
 
 // Stalled reports whether the processor is currently in SMM.
@@ -382,16 +394,18 @@ func (m *Model) Stalled() bool { return m.stalled }
 // preemption — the frozen thread is neither progressing nor charged.
 // Per-CPU stalls nest and compose with the global stall.
 func (m *Model) StallCPU(id int) {
-	m.reconfigure(func() { m.logical[id].stallDepth++ })
+	m.advance()
+	m.logical[id].stallDepth++
+	m.settle()
 }
 
 // UnstallCPU releases one StallCPU on logical CPU id.
 func (m *Model) UnstallCPU(id int) {
-	m.reconfigure(func() {
-		if m.logical[id].stallDepth > 0 {
-			m.logical[id].stallDepth--
-		}
-	})
+	m.advance()
+	if m.logical[id].stallDepth > 0 {
+		m.logical[id].stallDepth--
+	}
+	m.settle()
 }
 
 // CPUStalled reports whether logical CPU id is per-CPU stalled.
@@ -430,14 +444,11 @@ func (l *Logical) Threads() []*Thread {
 	return out
 }
 
-// reconfigure integrates progress up to now, applies mutate, recomputes
-// assignments and rates, completes finished jobs, and schedules the next
-// completion event.
-func (m *Model) reconfigure(mutate func()) {
-	m.advance()
-	if mutate != nil {
-		mutate()
-	}
+// Every state change follows one protocol: advance() integrates progress
+// up to now under the old state, the caller mutates, and settle()
+// completes finished jobs, recomputes assignments and rates, and
+// schedules the next completion event.
+func (m *Model) settle() {
 	m.finishJobs()
 	m.assign()
 	if m.tr != nil {
@@ -448,17 +459,10 @@ func (m *Model) reconfigure(mutate func()) {
 }
 
 // emitSched diffs every thread's placement against what the tracer last
-// saw and emits run/preempt/migrate events. Threads are visited in id
-// order (via a reused scratch slice) so traced runs stay deterministic
-// despite map iteration.
+// saw and emits run/preempt/migrate events, in thread id order.
 func (m *Model) emitSched() {
 	now := m.eng.Now()
-	m.schedScratch = m.schedScratch[:0]
-	for t := range m.threads {
-		m.schedScratch = append(m.schedScratch, t)
-	}
-	sort.Slice(m.schedScratch, func(i, j int) bool { return m.schedScratch[i].id < m.schedScratch[j].id })
-	for _, t := range m.schedScratch {
+	for _, t := range m.threads {
 		cur := -1
 		if t.cpu != nil {
 			cur = t.cpu.ID
@@ -523,20 +527,16 @@ func (m *Model) advance() {
 }
 
 // finishJobs completes jobs whose remaining work reached zero. Threads
-// are visited in id order so completion callbacks fire deterministically.
+// are visited in id order so completion callbacks are scheduled — and
+// so fire — deterministically.
 func (m *Model) finishJobs() {
-	var finished []*Thread
-	for t := range m.threads {
+	for _, t := range m.threads {
 		if t.job != nil && t.job.remaining <= completionSlack(t.job.total) {
-			finished = append(finished, t)
-		}
-	}
-	sort.Slice(finished, func(i, j int) bool { return finished[i].id < finished[j].id })
-	for _, t := range finished {
-		done := t.job.onDone
-		t.job = nil
-		if done != nil {
-			m.eng.At(m.eng.Now(), done)
+			done := t.job.onDone
+			t.job = nil
+			if done != nil {
+				m.eng.At(m.eng.Now(), done)
+			}
 		}
 	}
 }
@@ -554,15 +554,16 @@ func completionSlack(total float64) float64 {
 // assign distributes runnable threads over online logical CPUs,
 // physical-cores-first, round-robin.
 func (m *Model) assign() {
-	var online []*Logical
-	for _, l := range m.schedOrder() {
+	online := m.online[:0]
+	for _, l := range m.logical {
 		l.threads = l.threads[:0]
 		if l.online {
 			online = append(online, l)
 		}
 	}
+	m.online = online
 	m.runnable = m.runnable[:0]
-	for t := range m.threads {
+	for _, t := range m.threads {
 		t.cpu = nil
 		t.rate = 0
 		t.osShare = 0
@@ -570,13 +571,12 @@ func (m *Model) assign() {
 			m.runnable = append(m.runnable, t)
 		}
 	}
-	sort.Slice(m.runnable, func(i, j int) bool { return m.runnable[i].id < m.runnable[j].id })
 	if len(online) == 0 {
 		return
 	}
 	// Pinned threads first: they go exactly where their mask says (if
 	// that CPU is online).
-	var unpinned []*Thread
+	unpinned := m.unpinned[:0]
 	for _, t := range m.runnable {
 		if t.pin >= 0 && m.logical[t.pin].online {
 			l := m.logical[t.pin]
@@ -586,6 +586,7 @@ func (m *Model) assign() {
 		}
 		unpinned = append(unpinned, t)
 	}
+	m.unpinned = unpinned
 	// Everyone else to the least-loaded online CPU, physical cores
 	// first (ties resolve in sched order, keeping placement stable and
 	// deterministic).
@@ -750,17 +751,17 @@ func (m *Model) scheduleCompletion() {
 		}
 	}
 	if best != sim.Forever {
-		m.completion = m.eng.At(best, func() {
-			m.completion = nil
-			m.reconfigure(nil)
-		})
+		m.completion = m.eng.At(best, m.completeFn)
 	}
 }
 
 // Sync integrates progress and accounting up to the current instant so
 // counters (Busy, TotalStallTime, per-thread times) are exact when read
 // between events.
-func (m *Model) Sync() { m.reconfigure(nil) }
+func (m *Model) Sync() {
+	m.advance()
+	m.settle()
+}
 
 // Utilization reports the mean busy fraction of online logical CPUs over
 // the elapsed simulation time (0 if no time has passed).

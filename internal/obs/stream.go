@@ -137,6 +137,10 @@ type Span struct {
 	Dur     sim.Time
 	A, B    int64
 	Instant bool
+	// Seq is the stream position of the record that produced the span
+	// (for a begin/end pair, its end edge). Stream order is emission
+	// order, so Seq orders same-instant records across tracks.
+	Seq int64
 }
 
 // End reports the span's end time.
@@ -144,8 +148,9 @@ func (s Span) End() sim.Time { return s.Start + s.Dur }
 
 // Trace is a fully parsed trace stream.
 type Trace struct {
-	// Spans holds every recovered record in a deterministic order:
-	// (Run, Node, Tid, Start, Name).
+	// Spans holds every recovered record ordered by (Run, Node, Tid,
+	// Start, Seq): records that tie on Start keep emission order, so a
+	// zero-length run reads back as run then preempt.
 	Spans []Span
 	// ProcNames maps a (run, node) process to its display name.
 	ProcNames map[int64]string
@@ -283,6 +288,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 				Name: ev.Name, Cat: ev.Cat,
 				Start: fromUS(ev.Ts), Dur: fromUS(ev.Dur),
 				A: ev.Args.A, B: ev.Args.B,
+				Seq: tr.Records,
 			})
 		case "i", "I":
 			tr.Spans = append(tr.Spans, Span{
@@ -290,6 +296,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 				Name: ev.Name, Cat: ev.Cat,
 				Start: fromUS(ev.Ts),
 				A:     ev.Args.A, B: ev.Args.B, Instant: true,
+				Seq: tr.Records,
 			})
 		case "B":
 			id := trackID{ev.Pid, ev.Tid}
@@ -308,6 +315,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 				Name: b.Name, Cat: b.Cat,
 				Start: fromUS(b.Ts), Dur: fromUS(ev.Ts) - fromUS(b.Ts),
 				A: b.Args.A, B: b.Args.B,
+				Seq: tr.Records,
 			})
 		}
 	}
@@ -333,10 +341,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if a.Tid != b.Tid {
 			return a.Tid < b.Tid
 		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.Name < b.Name
+		return a.Start < b.Start
 	})
 	return tr, nil
 }

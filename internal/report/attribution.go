@@ -364,7 +364,7 @@ func attributeNode(node int32, spans []obs.Span, wall sim.Time) (*Node, []RankSt
 	var smm []iv
 	var retrans []sim.Time
 	taskNames := map[int64]string{}
-	cpuEvents := map[int][]obs.Span{}
+	var sched []obs.Span                // the node's scheduling edges, every CPU
 	steals := map[int]map[string][]iv{} // cpu → noise family → steal windows
 	rankStats := map[int]*RankStats{}
 	hasRanks := false
@@ -393,7 +393,9 @@ func attributeNode(node int32, spans []obs.Span, wall sim.Time) (*Node, []RankSt
 				taskNames[s.A] = s.Name
 			}
 		case obs.TrackCPU:
-			cpuEvents[s.Index] = append(cpuEvents[s.Index], s)
+			if s.Instant {
+				sched = append(sched, s)
+			}
 		case obs.TrackRank:
 			hasRanks = true
 			rs := rankStats[s.Index]
@@ -413,22 +415,27 @@ func attributeNode(node int32, spans []obs.Span, wall sim.Time) (*Node, []RankSt
 		}
 	}
 	smm = clipMerge(smm, wall)
+	occ := replaySched(sched, wall)
 
 	// CPUs appear from scheduling events or from steal windows — a core
 	// that only ever got stolen from still owns a timeline.
 	var cpus []int
-	for c := range cpuEvents {
+	for c := range occ {
 		cpus = append(cpus, c)
 	}
 	for c := range steals {
-		if _, ok := cpuEvents[c]; !ok {
+		if _, ok := occ[c]; !ok {
 			cpus = append(cpus, c)
 		}
 	}
 	sort.Ints(cpus)
 	for _, c := range cpus {
+		o := occ[c]
+		if o == nil {
+			o = &occupancy{}
+		}
 		nn.Children = append(nn.Children,
-			attributeCPU(c, cpuEvents[c], smm, steals[c], retrans, wall, hasRanks, taskNames))
+			attributeCPU(c, o, smm, steals[c], retrans, wall, hasRanks, taskNames))
 	}
 
 	var ranks []RankStats
@@ -441,6 +448,85 @@ func attributeNode(node int32, spans []obs.Span, wall sim.Time) (*Node, []RankSt
 		ranks = append(ranks, *rankStats[r])
 	}
 	return nn, ranks
+}
+
+// occupancy is one logical CPU's timeline as its scheduling edges tell it.
+type occupancy struct {
+	busy      []iv          // merged windows with at least one thread placed
+	anomalies int           // leave edges for threads not placed here
+	runs      map[int64]int // thread id → run/migrate-in count, for the label
+	load      int           // threads placed at the current replay point
+	open      sim.Time      // start of the current busy window
+}
+
+// replaySched replays a node's scheduling edges in emission order,
+// tracking which CPU each thread occupies. A CPU is busy while any
+// thread is placed on it, so several threads sharing a CPU, a
+// zero-length run (run then preempt at one instant) and a migration
+// (which leaves its source CPU B without an edge on that CPU's track)
+// all come out exact. A preempt or migration away from a CPU the thread
+// does not occupy is an anomaly: the trace starts mid-run or is lossy.
+func replaySched(sched []obs.Span, wall sim.Time) map[int]*occupancy {
+	sort.SliceStable(sched, func(i, j int) bool {
+		if sched[i].Start != sched[j].Start {
+			return sched[i].Start < sched[j].Start
+		}
+		return sched[i].Seq < sched[j].Seq
+	})
+	occ := map[int]*occupancy{}
+	cpu := func(c int) *occupancy {
+		o := occ[c]
+		if o == nil {
+			o = &occupancy{runs: map[int64]int{}}
+			occ[c] = o
+		}
+		return o
+	}
+	where := map[int64]int{} // thread id → CPU it occupies
+	leave := func(tid int64, c int, at sim.Time) bool {
+		if w, ok := where[tid]; !ok || w != c {
+			return false
+		}
+		delete(where, tid)
+		o := cpu(c)
+		if o.load--; o.load == 0 {
+			o.busy = append(o.busy, iv{o.open, at})
+		}
+		return true
+	}
+	join := func(tid int64, c int, at sim.Time) {
+		if w, ok := where[tid]; ok {
+			leave(tid, w, at)
+		}
+		where[tid] = c
+		o := cpu(c)
+		if o.load++; o.load == 1 {
+			o.open = at
+		}
+		o.runs[tid]++
+	}
+	for _, e := range sched {
+		switch e.Name {
+		case "run":
+			join(e.A, e.Index, e.Start)
+		case "migrate":
+			if !leave(e.A, int(e.B), e.Start) {
+				cpu(int(e.B)).anomalies++
+			}
+			join(e.A, e.Index, e.Start)
+		case "preempt":
+			if !leave(e.A, e.Index, e.Start) {
+				cpu(e.Index).anomalies++
+			}
+		}
+	}
+	for _, o := range occ {
+		if o.load > 0 {
+			o.busy = append(o.busy, iv{o.open, wall})
+		}
+		o.busy = clipMerge(o.busy, wall)
+	}
+	return occ
 }
 
 // attributeCPU partitions one logical CPU's [0, wall] exactly:
@@ -458,38 +544,10 @@ func attributeNode(node int32, spans []obs.Span, wall sim.Time) (*Node, []RankSt
 // exactly; clamping never occurs by construction, and unmatched
 // scheduling edges are surfaced as anomalies instead of silently
 // skewing a bucket.
-func attributeCPU(cpu int, events []obs.Span, smm []iv, steals map[string][]iv,
+func attributeCPU(cpu int, occ *occupancy, smm []iv, steals map[string][]iv,
 	retrans []sim.Time, wall sim.Time, hasRanks bool, taskNames map[int64]string) *Node {
 
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Start < events[j].Start })
-	var busy []iv
-	var open sim.Time
-	opened := false
-	anomalies := 0
-	occupant := map[int64]int{} // thread id → run-instant count, for the label
-	for _, e := range events {
-		if !e.Instant {
-			continue
-		}
-		switch e.Name {
-		case "run", "migrate":
-			if !opened {
-				open, opened = e.Start, true
-			}
-			occupant[e.A]++
-		case "preempt":
-			if !opened {
-				anomalies++
-				continue
-			}
-			busy = append(busy, iv{open, e.Start})
-			opened = false
-		}
-	}
-	if opened {
-		busy = append(busy, iv{open, wall})
-	}
-	busy = clipMerge(busy, wall)
+	busy := occ.busy
 
 	// Resolve overlapping claims deterministically: SMM first, then each
 	// family's per-CPU steal windows in sorted name order, each family
@@ -517,13 +575,13 @@ func attributeCPU(cpu int, events []obs.Span, smm []iv, steals map[string][]iv,
 	waitRetrans, waitPlain := splitBy(offAwake, retrans)
 
 	label := fmt.Sprintf("cpu%d", cpu)
-	if name := majorityName(occupant, taskNames); name != "" {
+	if name := majorityName(occ.runs, taskNames); name != "" {
 		label += " · " + name
 	}
 	n := &Node{Label: label, Kind: "cpu", Seconds: wall.Seconds()}
-	if anomalies > 0 {
+	if occ.anomalies > 0 {
 		n.Anomalies = append(n.Anomalies,
-			fmt.Sprintf("%d unmatched preempt edges (trace starts mid-run or is lossy)", anomalies))
+			fmt.Sprintf("%d unmatched preempt edges (trace starts mid-run or is lossy)", occ.anomalies))
 	}
 	waitCat := CatIdle
 	if hasRanks {

@@ -261,3 +261,59 @@ func TestBuildRejectsEmptyInputs(t *testing.T) {
 		t.Fatal("no inputs accepted")
 	}
 }
+
+// TestCheckHoldsWhenThreadsShareCPUs pins the trace reader's order on
+// shapes that put several threads on one node's CPUs: NAS with four
+// ranks per node and a multithreaded Convolve run. Their scheduler
+// emits zero-length runs (run then preempt at one instant); read back
+// out of emission order, such a pair looks like a preempt on an idle
+// CPU and Check reports unmatched preempt edges.
+func TestCheckHoldsWhenThreadsShareCPUs(t *testing.T) {
+	for _, spec := range []scenario.Spec{
+		{
+			Workload: "nas",
+			Machine:  scenario.Machine{Nodes: 2, RanksPerNode: 4},
+			SMM:      scenario.SMMPlan{Level: "long"},
+			Runs:     1, Seed: 3,
+			Params: scenario.Params{Bench: "EP", Class: "S"},
+		},
+		{
+			Workload: "convolve",
+			Machine:  scenario.Machine{CPUs: 6},
+			SMM:      scenario.SMMPlan{IntervalMS: 150},
+			Runs:     1, Seed: 1,
+			Params: scenario.Params{Cache: "unfriendly"},
+		},
+	} {
+		t.Run(spec.Workload, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "trace.json")
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bus := obs.NewBus()
+			sink := obs.NewChromeSink(f)
+			bus.Attach(sink)
+			if _, _, err := durable.RunSpec(context.Background(), spec,
+				durable.Options{Workers: 1, Tracer: bus}); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if err := sink.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Build(Inputs{TracePath: path})
+			if err != nil {
+				t.Fatalf("Build: %v", err)
+			}
+			if len(r.Runs) == 0 {
+				t.Fatal("no attributed runs")
+			}
+			if len(r.Violations) != 0 {
+				t.Fatalf("attribution invariants violated: %+v", r.Violations)
+			}
+		})
+	}
+}

@@ -29,6 +29,9 @@ type Proc struct {
 	// wakeFn resumes the process with no value. Built once so the
 	// Sleep hot path does not allocate a closure per call.
 	wakeFn func()
+	// wakeSoonFn schedules wakeFn as an immediate event; built on the
+	// first Waker call.
+	wakeSoonFn func()
 }
 
 // Go spawns a new process executing fn. The process starts at the current
@@ -154,6 +157,23 @@ func (p *Proc) Wait() (wake func(v any), wait func() any) {
 	wait = func() any { return p.park() }
 	return wake, wait
 }
+
+// Waker returns a function that schedules p's resumption, with no
+// value, as an immediate event: the same event Wait's wake(nil)
+// schedules. The function is built once per process, so a process that
+// repeatedly blocks on one completion at a time (Waker, then Park)
+// allocates nothing per block. Unlike Wait's wake it does not ignore
+// extra calls: call it exactly once per Park.
+func (p *Proc) Waker() func() {
+	if p.wakeSoonFn == nil {
+		p.wakeSoonFn = func() { p.eng.At(p.eng.now, p.wakeFn) }
+	}
+	return p.wakeSoonFn
+}
+
+// Park suspends the process until a wake-up scheduled through Waker
+// fires.
+func (p *Proc) Park() { p.park() }
 
 // Signal is a broadcast wake-up point for processes, similar to a
 // condition variable. The zero value is ready to use.

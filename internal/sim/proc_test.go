@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -80,6 +82,45 @@ func TestProcWaitDoubleWakeIgnored(t *testing.T) {
 	}
 	if e.Now() != 105 {
 		t.Fatalf("clock = %v, want 105 (sleep not disturbed by second wake)", e.Now())
+	}
+}
+
+// TestWakerMatchesWait checks that Waker+Park is a drop-in for a
+// Wait whose wake is called with nil: the same events fire in the same
+// order, interleaved identically with other same-instant work.
+func TestWakerMatchesWait(t *testing.T) {
+	run := func(useWaker bool) ([]string, uint64) {
+		e := New(1)
+		var log []string
+		for i := 0; i < 3; i++ {
+			name := string(rune('a' + i))
+			e.Go(name, func(p *Proc) {
+				for k := 0; k < 4; k++ {
+					// A completion callback fires after a delay shared
+					// with other processes, next to an unrelated event
+					// at the same instant.
+					d := Time(1 + (i+k)%2)
+					e.After(d, func() { log = append(log, name+"-other") })
+					if useWaker {
+						wake := p.Waker()
+						e.After(d, wake)
+						p.Park()
+					} else {
+						wake, wait := p.Wait()
+						e.After(d, func() { wake(nil) })
+						wait()
+					}
+					log = append(log, fmt.Sprintf("%s@%d", name, p.Now()))
+				}
+			})
+		}
+		e.Run()
+		return log, e.Events()
+	}
+	want, wantEvents := run(false)
+	got, gotEvents := run(true)
+	if !slices.Equal(got, want) || gotEvents != wantEvents {
+		t.Fatalf("Waker run: %d events %v\nWait run:  %d events %v", gotEvents, got, wantEvents, want)
 	}
 }
 
