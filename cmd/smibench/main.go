@@ -25,11 +25,9 @@
 // from certified regions without simulating them — byte-identical to
 // -fastpath off, proven per region at runtime (see internal/runner
 // dispatch.go); -fastpath model serves the closed-form prediction
-// itself (approximate, opt-in). -shards N partitions each cell's
-// per-node event streams over N engine shards; cells that cannot shard
-// byte-identically fall back to the sequential engine. The manifest
-// written by -manifest records the dispatcher's full accounting (hits,
-// misses with reasons, certification evidence counts) after the run.
+// itself (approximate, opt-in). The manifest written by -manifest
+// records the dispatcher's full accounting (hits, misses with reasons,
+// certification evidence counts) after the run.
 //
 // -benchjson runs the sweep suite at quick scale sequentially and at
 // the -parallel worker count, recording wall time and allocations per
@@ -92,7 +90,6 @@ func benchMain(ctx context.Context) (code int) {
 	cellTimeout := flag.Duration("cell-timeout", 0, "wall-clock deadline per sweep cell (0 = none); timed-out cells fail, they are not retried")
 	retries := flag.Int("retries", 0, "re-run transiently-failed cells up to this many times with exponential backoff")
 	fastpath := flag.String("fastpath", "off", "analytic fast-path dispatch: off, auto (byte-identical) or model (approximate)")
-	shards := flag.Int("shards", 1, "per-cell engine shards (1 = sequential; any value is bit-identical)")
 	flag.Parse()
 
 	// The recover must be registered before the sink-flush defers below
@@ -134,7 +131,7 @@ func benchMain(ctx context.Context) (code int) {
 	cfg := experiments.Config{
 		Quick: *quick, Runs: *runs, Seed: *seed, Workers: workers,
 		Ctx: ctx, Resume: *resume, CellTimeout: *cellTimeout, Retries: *retries,
-		Stats: &runner.ExecStats{}, Shards: *shards,
+		Stats: &runner.ExecStats{},
 	}
 	if fpMode != runner.FastOff {
 		cfg.Dispatch = runner.NewDispatcher(fpMode, 0)

@@ -121,7 +121,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	retries := fs.Int("retries", 0, "re-run transiently-failed cells up to this many times with exponential backoff")
 	scenarioFile := fs.String("scenario", "", "run a declarative scenario file (JSON) instead of the cell flags")
 	fastpath := fs.String("fastpath", "off", "analytic fast-path dispatch: off, auto (byte-identical) or model (approximate)")
-	shards := fs.Int("shards", 1, "per-cell engine shards (1 = sequential; any value is bit-identical)")
 	listWorkloads := fs.Bool("list-workloads", false, "list the registered workloads and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -348,7 +347,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Workers:     workers,
 		CellTimeout: *cellTimeout,
 		Retry:       durable.Policy{MaxRetries: *retries},
-		Shards:      *shards,
 	}
 	if fpMode != runner.FastOff {
 		dopts.Dispatch = runner.NewDispatcher(fpMode, 0)

@@ -8,6 +8,7 @@ import (
 	"smistudy"
 	"smistudy/internal/analytic"
 	"smistudy/internal/experiments"
+	"smistudy/internal/metrics"
 	"smistudy/internal/paperdata"
 	"smistudy/internal/stats"
 )
@@ -57,7 +58,7 @@ func bandDesc(b paperdata.Band) string {
 }
 
 // bandCheck judges one sampled metric against a paperdata band.
-func bandCheck(rep *Report, artifact, name string, s *stats.Sample, e *paperdata.Expectation) {
+func bandCheck(rep *Report, artifact, name string, s *metrics.Stream, e *paperdata.Expectation) {
 	got := s.Mean()
 	rep.add(Check{
 		Artifact: artifact, Name: name, Kind: "band",
@@ -70,7 +71,7 @@ func bandCheck(rep *Report, artifact, name string, s *stats.Sample, e *paperdata
 
 // cellSamples accumulates one table cell's metrics across seeds.
 type cellSamples struct {
-	base, shortPct, longPct stats.Sample
+	base, shortPct, longPct metrics.Stream
 }
 
 // nasArtifact validates one of Tables 1–3: per-cell expectation bands
@@ -124,7 +125,7 @@ func nasArtifact(cfg Config, exp paperdata.ExpectationSet, rep *Report,
 		}
 		for _, m := range []struct {
 			metric string
-			s      *stats.Sample
+			s      *metrics.Stream
 		}{
 			{paperdata.MetricBaseSeconds, &cs.base},
 			{paperdata.MetricShortPct, &cs.shortPct},
@@ -236,7 +237,7 @@ func nasOrderingChecks(rep *Report, name, bench string, samples map[string]*cell
 func httArtifact(cfg Config, rep *Report, name string,
 	gen func(experiments.Config) (experiments.HTTTable, error)) ([]byte, error) {
 
-	var parity, longDelta, absLongDelta stats.Sample
+	var parity, longDelta, absLongDelta metrics.Stream
 	nonNeg, rows := 0, 0
 	var first experiments.HTTTable
 	for i, seed := range cfg.seeds() {
@@ -294,7 +295,7 @@ func figure1Artifact(cfg Config, rep *Report) ([]byte, error) {
 		beh  smistudy.CacheBehavior
 		cpus int
 	}
-	acc := map[seriesKey]map[int]*stats.Sample{}
+	acc := map[seriesKey]map[int]*metrics.Stream{}
 	var first experiments.Figure1
 	for i, seed := range cfg.seeds() {
 		f, err := experiments.Figure1Convolve(cfg.expCfg(seed))
@@ -307,10 +308,10 @@ func figure1Artifact(cfg Config, rep *Report) ([]byte, error) {
 		for _, p := range f.Points {
 			sk := seriesKey{p.Behavior, p.CPUs}
 			if acc[sk] == nil {
-				acc[sk] = map[int]*stats.Sample{}
+				acc[sk] = map[int]*metrics.Stream{}
 			}
 			if acc[sk][p.IntervalMS] == nil {
-				acc[sk][p.IntervalMS] = &stats.Sample{}
+				acc[sk][p.IntervalMS] = &metrics.Stream{}
 			}
 			acc[sk][p.IntervalMS].Add(p.Seconds)
 		}
@@ -379,7 +380,7 @@ func figure1Artifact(cfg Config, rep *Report) ([]byte, error) {
 // monotonically with the SMI interval for every CPU count, and the
 // longest/shortest-interval score ratio matches calibration.
 func figure2Artifact(cfg Config, rep *Report) ([]byte, error) {
-	acc := map[int]map[int]*stats.Sample{}
+	acc := map[int]map[int]*metrics.Stream{}
 	var first experiments.Figure2
 	for i, seed := range cfg.seeds() {
 		f, err := experiments.Figure2UnixBench(cfg.expCfg(seed))
@@ -391,10 +392,10 @@ func figure2Artifact(cfg Config, rep *Report) ([]byte, error) {
 		}
 		for _, p := range f.Points {
 			if acc[p.CPUs] == nil {
-				acc[p.CPUs] = map[int]*stats.Sample{}
+				acc[p.CPUs] = map[int]*metrics.Stream{}
 			}
 			if acc[p.CPUs][p.IntervalMS] == nil {
-				acc[p.CPUs][p.IntervalMS] = &stats.Sample{}
+				acc[p.CPUs][p.IntervalMS] = &metrics.Stream{}
 			}
 			acc[p.CPUs][p.IntervalMS].Add(p.Score)
 		}
@@ -477,7 +478,7 @@ func amplificationArtifact(cfg Config, rep *Report) ([]byte, error) {
 		class byte
 		nodes int
 	}
-	acc := map[key]*stats.Sample{}
+	acc := map[key]*metrics.Stream{}
 	var first experiments.AmpResult
 	for i, seed := range cfg.seeds() {
 		a, err := experiments.AmplificationData(cfg.expCfg(seed))
@@ -490,12 +491,12 @@ func amplificationArtifact(cfg Config, rep *Report) ([]byte, error) {
 		for _, c := range a.Cells {
 			k := key{c.Bench, c.Class[0], c.Nodes}
 			if acc[k] == nil {
-				acc[k] = &stats.Sample{}
+				acc[k] = &metrics.Stream{}
 			}
 			acc[k].Add(c.Factor)
 		}
 	}
-	factor := func(bench string, class byte, nodes int) *stats.Sample {
+	factor := func(bench string, class byte, nodes int) *metrics.Stream {
 		return acc[key{bench, class, nodes}]
 	}
 	if s := factor("EP", 'A', 1); s != nil {
@@ -527,7 +528,7 @@ func amplificationArtifact(cfg Config, rep *Report) ([]byte, error) {
 // not 1/n resource sharing), degrading everything is at least as bad,
 // and an SMI storm's stretch tracks the injected residency.
 func faultsArtifact(cfg Config, rep *Report) ([]byte, error) {
-	var oneShare, stormShare stats.Sample
+	var oneShare, stormShare metrics.Stream
 	var first experiments.DegradeResult
 	for i, seed := range cfg.seeds() {
 		d, err := experiments.DegradeData(cfg.expCfg(seed))
@@ -567,7 +568,7 @@ func faultsArtifact(cfg Config, rep *Report) ([]byte, error) {
 }
 
 // sortedKeys returns the sorted int keys of a sample map.
-func sortedKeys(m map[int]*stats.Sample) []int {
+func sortedKeys(m map[int]*metrics.Stream) []int {
 	var ks []int
 	for k := range m {
 		ks = append(ks, k)

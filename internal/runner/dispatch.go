@@ -392,7 +392,7 @@ func (d *Dispatcher) certify(r *region, sp scenario.Spec, x Exec, w Workload) {
 // sequential, undispatched (no recursion), with the caller's stats and
 // tracer so probe work is accounted and visible.
 func (d *Dispatcher) simExec(x Exec) Exec {
-	return Exec{Workers: 1, Tracer: x.Tracer, Stats: x.Stats, Shards: x.Shards}
+	return Exec{Workers: 1, Tracer: x.Tracer, Stats: x.Stats}
 }
 
 // serve builds the cell's measurement from the certified region. In

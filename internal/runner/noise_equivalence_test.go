@@ -11,8 +11,8 @@ import (
 // TestLegacySMMNoiseBlockEquivalence is the behavior-preservation table
 // of the noise refactor: for every example scenario written with the
 // legacy smm block, the twin spec that lowers the same plan into a
-// noise-list smm entry must serialize byte-identically, across shard
-// counts and fast-path modes. This is what licenses migrating old
+// noise-list smm entry must serialize byte-identically, under every
+// fast-path mode. This is what licenses migrating old
 // scenarios to the noise syntax without re-baselining goldens.
 func TestLegacySMMNoiseBlockEquivalence(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
@@ -43,19 +43,15 @@ func TestLegacySMMNoiseBlockEquivalence(t *testing.T) {
 			if err := twin.Validate(); err != nil {
 				t.Fatalf("twin spec invalid: %v", err)
 			}
-			type variant struct {
+			for _, v := range []struct {
 				name     string
 				fastpath FastPathMode
-				shards   int
-			}
-			for _, v := range []variant{
-				{"off_shards1", FastOff, 1},
-				{"off_shards2", FastOff, 2},
-				{"auto_shards1", FastAuto, 1},
-				{"auto_shards2", FastAuto, 2},
+			}{
+				{"off", FastOff},
+				{"auto", FastAuto},
 			} {
 				run := func(s scenario.Spec) ([]byte, string) {
-					x := Exec{Workers: 1, Shards: v.shards}
+					x := Exec{Workers: 1}
 					if v.fastpath != FastOff {
 						x.Dispatch = NewDispatcher(v.fastpath, 0)
 					}

@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"sort"
+
+	"smistudy/internal/metrics"
 )
 
 // This file holds the distance and clustering primitives behind the
@@ -32,7 +34,7 @@ func ZScoreColumns(rows [][]float64) {
 	}
 	cols := len(rows[0])
 	for c := 0; c < cols; c++ {
-		var s Sample
+		var s metrics.Stream
 		for _, r := range rows {
 			s.Add(r[c])
 		}

@@ -1,60 +1,18 @@
-// Package stats provides the per-cell statistics the fidelity harness
-// computes across repeated seeds: sample summaries (mean, 95% CI via the
-// Welford streams in internal/metrics), relative error against an
-// expectation, and the ordering/monotonicity predicates the paper's
-// qualitative claims reduce to (slowdown grows with SMI frequency,
-// impact grows with node count, scores grow with SMI interval).
+// Package stats provides the judgments the fidelity harness makes over
+// per-cell summaries (metrics.Stream across repeated seeds): relative
+// error against an expectation, and the ordering/monotonicity
+// predicates the paper's qualitative claims reduce to (slowdown grows
+// with SMI frequency, impact grows with node count, scores grow with
+// SMI interval).
 //
 // Hunold & Carpen-Amarie's point — benchmark claims need explicit
 // acceptance criteria over repeated runs, not single-shot numbers — is
 // the reason this package exists as a seam of its own: every judgment
-// smivalidate makes goes through a Sample, never through one raw value.
+// smivalidate makes is over a repeated-run summary, never over one raw
+// value.
 package stats
 
-import (
-	"fmt"
-	"math"
-
-	"smistudy/internal/metrics"
-)
-
-// Sample accumulates repeated observations of one measured cell.
-type Sample struct {
-	s metrics.Stream
-}
-
-// Add feeds one observation.
-func (s *Sample) Add(x float64) { s.s.Add(x) }
-
-// AddAll feeds every observation.
-func (s *Sample) AddAll(xs ...float64) {
-	for _, x := range xs {
-		s.s.Add(x)
-	}
-}
-
-// Merge folds another sample into s (order-independent Welford combine).
-func (s *Sample) Merge(o Sample) { s.s.Merge(o.s) }
-
-// N reports the number of observations.
-func (s *Sample) N() int { return s.s.N() }
-
-// Mean reports the arithmetic mean.
-func (s *Sample) Mean() float64 { return s.s.Mean() }
-
-// StdDev reports the sample standard deviation.
-func (s *Sample) StdDev() float64 { return s.s.StdDev() }
-
-// CI95 reports the half-width of the normal-approximation 95%
-// confidence interval on the mean (zero below two observations).
-func (s *Sample) CI95() float64 { return s.s.CI95() }
-
-// Summarize builds a Sample from a slice.
-func Summarize(xs []float64) Sample {
-	var s Sample
-	s.AddAll(xs...)
-	return s
-}
+import "math"
 
 // RelErr reports |got−want| / |want|; NaN when want is zero.
 func RelErr(got, want float64) float64 {
@@ -62,11 +20,6 @@ func RelErr(got, want float64) float64 {
 		return math.NaN()
 	}
 	return math.Abs(got-want) / math.Abs(want)
-}
-
-// String renders the sample as "mean ± ci95 (n=k)".
-func (s *Sample) String() string {
-	return fmt.Sprintf("%.4g ± %.2g (n=%d)", s.Mean(), s.CI95(), s.N())
 }
 
 // Direction selects the sense of an ordering predicate.

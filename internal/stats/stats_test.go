@@ -5,32 +5,6 @@ import (
 	"testing"
 )
 
-func TestSampleMatchesClosedForm(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N() != 8 {
-		t.Fatalf("n = %d", s.N())
-	}
-	if s.Mean() != 5 {
-		t.Fatalf("mean = %v", s.Mean())
-	}
-	if math.Abs(s.StdDev()-2.1380899) > 1e-6 {
-		t.Fatalf("stddev = %v", s.StdDev())
-	}
-	if s.CI95() <= 0 {
-		t.Fatalf("ci95 = %v", s.CI95())
-	}
-}
-
-func TestSampleMergeEqualsConcat(t *testing.T) {
-	a := Summarize([]float64{1, 2, 3})
-	b := Summarize([]float64{10, 20})
-	all := Summarize([]float64{1, 2, 3, 10, 20})
-	a.Merge(b)
-	if a.N() != all.N() || math.Abs(a.Mean()-all.Mean()) > 1e-12 || math.Abs(a.StdDev()-all.StdDev()) > 1e-9 {
-		t.Fatalf("merge: %v vs %v", a.String(), all.String())
-	}
-}
-
 func TestRelErr(t *testing.T) {
 	if RelErr(110, 100) != 0.1 {
 		t.Fatalf("RelErr(110,100) = %v", RelErr(110, 100))

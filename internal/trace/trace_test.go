@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -106,59 +105,6 @@ func TestRecorder(t *testing.T) {
 	}
 	if len(r.Overlapping(200, 300)) != 0 {
 		t.Fatal("phantom overlaps")
-	}
-}
-
-func TestChromeTraceExport(t *testing.T) {
-	var r Recorder
-	r.Record("compute", 0, 100*sim.Millisecond)
-	r.Record("smm", 40*sim.Millisecond, 45*sim.Millisecond)
-	r.Record("compute", 100*sim.Millisecond, 150*sim.Millisecond)
-	out, err := r.ChromeTrace("node0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(out, &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	// 1 process + 2 thread metadata events (2 labels) + 3 spans.
-	if len(doc.TraceEvents) != 6 {
-		t.Fatalf("events = %d, want 6", len(doc.TraceEvents))
-	}
-	var spans, meta int
-	for _, ev := range doc.TraceEvents {
-		switch ev["ph"] {
-		case "X":
-			spans++
-			if ev["dur"].(float64) <= 0 {
-				t.Error("span with non-positive duration")
-			}
-		case "M":
-			meta++
-		}
-	}
-	if spans != 3 || meta != 3 {
-		t.Fatalf("spans=%d meta=%d", spans, meta)
-	}
-}
-
-func TestRecordSMMFromController(t *testing.T) {
-	e := sim.New(1)
-	cl := cluster.MustNew(e, cluster.R410(smm.DriverConfig{
-		Level: smm.SMMLong, PeriodJiffies: 500, PhaseJitter: true,
-	}))
-	cl.StartSMI()
-	e.RunUntil(3 * sim.Second)
-	var r Recorder
-	r.RecordSMM(cl.Nodes[0].SMM.Episodes())
-	if got := len(r.Spans()); got < 3 {
-		t.Fatalf("recorded %d SMM spans", got)
-	}
-	if r.TotalByLabel()["smm"] != cl.Nodes[0].SMM.Stats().TotalResidency {
-		t.Fatal("recorded SMM spans do not sum to residency")
 	}
 }
 
