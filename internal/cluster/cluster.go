@@ -175,9 +175,6 @@ func (c *Cluster) Inject(sched faults.Schedule) (*faults.Injector, error) {
 // noise-family abstraction; StartNoise is the family-neutral alias.)
 func (c *Cluster) StartSMI() { c.StartNoise() }
 
-// StopSMI disarms every perturbation source on every node.
-func (c *Cluster) StopSMI() { c.StopNoise() }
-
 // StartNoise arms every perturbation source on every node.
 func (c *Cluster) StartNoise() {
 	for _, n := range c.Nodes {

@@ -46,7 +46,7 @@ func TestStartStopSMI(t *testing.T) {
 	c := MustNew(e, Wyeast(2, false, smm.SMMLong))
 	c.StartSMI()
 	e.RunUntil(5 * sim.Second)
-	c.StopSMI()
+	c.StopNoise()
 	if c.TotalSMMResidency() == 0 {
 		t.Fatal("no SMM residency accumulated with long SMIs armed")
 	}

@@ -217,24 +217,6 @@ func total(ivs []iv) sim.Time {
 	return t
 }
 
-// intersect returns the intersection of two merged interval sets.
-func intersect(a, b []iv) []iv {
-	var out []iv
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		lo, hi := maxT(a[i].lo, b[j].lo), minT(a[i].hi, b[j].hi)
-		if hi > lo {
-			out = append(out, iv{lo, hi})
-		}
-		if a[i].hi < b[j].hi {
-			i++
-		} else {
-			j++
-		}
-	}
-	return out
-}
-
 // complement returns [0, wall] minus the merged set.
 func complement(a []iv, wall sim.Time) []iv {
 	var out []iv
@@ -269,20 +251,6 @@ func splitBy(a []iv, instants []sim.Time) (with, without []iv) {
 		}
 	}
 	return
-}
-
-func maxT(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minT(a, b sim.Time) sim.Time {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Attribute builds one attribution tree per run in the trace.

@@ -34,7 +34,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -423,20 +422,4 @@ func (d *Dispatcher) serve(sp scenario.Spec, x Exec, w Workload, r *region) (Mea
 		parts[i] = p
 	}
 	return w.Merge(sp, parts)
-}
-
-// ReasonsSorted lists recorded miss reasons in deterministic order, for
-// rendering.
-func (d *Dispatcher) ReasonsSorted() []string {
-	if d == nil {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	keys := make([]string, 0, len(d.reasons))
-	for k := range d.reasons {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

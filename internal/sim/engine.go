@@ -136,7 +136,6 @@ type Engine struct {
 	running   bool
 	stopped   bool
 
-	yield chan struct{} // process -> engine handoff
 	procs map[*Proc]struct{}
 
 	nextProcID int
@@ -157,7 +156,6 @@ func New(seed int64) *Engine {
 		queue: make(eventHeap, 0, queueHint),
 		free:  make([]*Event, 0, queueHint),
 		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
 		procs: make(map[*Proc]struct{}),
 	}
 }
@@ -283,13 +281,15 @@ func (e *Engine) RunUntil(limit Time) {
 	}
 }
 
-// Shutdown terminates all parked processes (via a recovered panic inside
-// each process goroutine), drains the event queue, and clears the
-// stopped/running latches so the engine can schedule and Run again. It
-// returns the number of parked processes it had to kill — a non-zero
-// count after a run that was expected to finish cleanly means the model
-// leaked processes. It is intended for tests and for aborting
-// simulations early without leaking goroutines.
+// Shutdown terminates all live processes, drains the event queue, and
+// clears the stopped/running latches so the engine can schedule and Run
+// again. A parked process is unwound by a recovered panic inside it, so
+// its deferred cleanup runs; a process that was spawned but never
+// started is discarded without running its body. It returns the number
+// of parked processes it had to kill — a non-zero count after a run that
+// was expected to finish cleanly means the model leaked processes. It is
+// intended for tests and for aborting simulations early without leaking
+// goroutines.
 func (e *Engine) Shutdown() int {
 	if e.running {
 		panic("sim: Shutdown called while running")
@@ -297,9 +297,9 @@ func (e *Engine) Shutdown() int {
 	leaked := 0
 	for p := range e.procs {
 		if p.state == procParked {
-			p.kill()
 			leaked++
 		}
+		p.kill()
 	}
 	for len(e.queue) > 0 {
 		e.recycle(e.queue.popMin())

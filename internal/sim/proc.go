@@ -1,6 +1,11 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 type procState int
 
@@ -13,18 +18,22 @@ const (
 
 type killSentinel struct{}
 
-// Proc is a simulation process: a goroutine that runs model code and
-// suspends on simulation primitives. Exactly one process runs at a time;
-// control is handed between the engine and the process through channels,
-// so execution order is deterministic.
+// Proc is a simulation process: a coroutine that runs model code and
+// suspends on simulation primitives. Exactly one process runs at a time.
+// The engine resumes a process with a direct coroutine switch (iter.Pull's
+// next) and the process hands control back by yielding, so there is no
+// scheduler round trip and execution order is deterministic.
 type Proc struct {
-	eng    *Engine
-	id     int
-	name   string
-	state  procState
-	resume chan any
-	pval   any  // panic value propagated from the process goroutine
-	dead   bool // killed or finished
+	eng   *Engine
+	id    int
+	name  string
+	state procState
+	next  func() (struct{}, bool) // engine -> process switch
+	stop  func()                  // ends the coroutine; parked code sees a kill
+	yield func(struct{}) bool     // process -> engine switch
+	val   any                     // value handed to the process by transfer
+	pval  any                     // panic value propagated from the process
+	dead  bool                    // killed or finished
 
 	// wakeFn resumes the process with no value. Built once so the
 	// Sleep hot path does not allocate a closure per call.
@@ -39,54 +48,39 @@ type Proc struct {
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	e.nextProcID++
 	p := &Proc{
-		eng:    e,
-		id:     e.nextProcID,
-		name:   name,
-		state:  procNew,
-		resume: make(chan any),
+		eng:   e,
+		id:    e.nextProcID,
+		name:  name,
+		state: procNew,
 	}
 	p.wakeFn = func() { e.transfer(p, nil) }
-	e.procs[p] = struct{}{}
-
-	go func() {
-		// Wait for the engine to transfer control for the first time.
-		v := <-p.resume
-		if _, kill := v.(killSentinel); kill {
-			p.finish(nil)
-			return
-		}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			r := recover()
 			if _, kill := r.(killSentinel); kill {
 				r = nil
 			}
-			p.finish(r)
+			p.state = procDone
+			p.dead = true
+			p.pval = r
 		}()
 		fn(p)
-	}()
-
+	})
+	e.procs[p] = struct{}{}
 	e.At(e.now, p.wakeFn)
 	return p
 }
 
-// finish hands control back to the engine for the last time. Runs on the
-// process goroutine.
-func (p *Proc) finish(panicVal any) {
-	p.state = procDone
-	p.dead = true
-	p.pval = panicVal
-	p.eng.yield <- struct{}{}
-}
-
-// transfer resumes p with value v and blocks until p parks or finishes.
-// Must run on the engine goroutine (inside an event callback).
+// transfer resumes p with value v and returns once p parks or finishes.
+// Must run on the engine side (inside an event callback).
 func (e *Engine) transfer(p *Proc, v any) {
 	if p.dead {
 		return
 	}
 	p.state = procRunning
-	p.resume <- v
-	<-e.yield
+	p.val = v
+	p.next()
 	if p.state == procDone {
 		delete(e.procs, p)
 		if p.pval != nil {
@@ -96,26 +90,22 @@ func (e *Engine) transfer(p *Proc, v any) {
 }
 
 // park suspends the process until the engine resumes it, returning the
-// value passed to the wake-up. Runs on the process goroutine.
+// value passed to the wake-up. Runs inside the process.
 func (p *Proc) park() any {
 	p.state = procParked
-	p.eng.yield <- struct{}{}
-	v := <-p.resume
-	if _, kill := v.(killSentinel); kill {
+	if !p.yield(struct{}{}) {
 		panic(killSentinel{})
 	}
-	p.state = procRunning
+	v := p.val
+	p.val = nil
 	return v
 }
 
-// kill terminates a parked process. Must run on the engine goroutine.
+// kill terminates a parked or never-started process. Must run on the
+// engine side.
 func (p *Proc) kill() {
-	if p.dead || p.state != procParked {
-		return
-	}
+	p.stop()
 	p.dead = true
-	p.resume <- killSentinel{}
-	<-p.eng.yield
 	delete(p.eng.procs, p)
 }
 
@@ -190,11 +180,13 @@ func (s *Signal) Wait(p *Proc) {
 // Broadcast wakes all waiting processes (as immediate events, in wait
 // order). Safe to call from engine or process context.
 func (s *Signal) Broadcast(e *Engine) {
-	ws := s.waiters
-	s.waiters = nil
-	for _, p := range ws {
+	for _, p := range s.waiters {
 		e.At(e.now, p.wakeFn)
 	}
+	// At only schedules, so no waiter can re-enter Wait during the loop
+	// and the backing array is safe to reuse for the next generation.
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
 }
 
 // Len reports the number of parked waiters.

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 )
 
 func TestProcSleep(t *testing.T) {
@@ -162,6 +164,36 @@ func TestShutdownReleasesParkedProcs(t *testing.T) {
 	}
 	if !cleaned {
 		t.Fatal("deferred cleanup did not run on kill")
+	}
+}
+
+// A process spawned but never started must not outlive Shutdown: its
+// body never runs, it leaves the process table, and its coroutine is
+// released.
+func TestShutdownReleasesUnstartedProcs(t *testing.T) {
+	runtime.GC()
+	base := runtime.NumGoroutine()
+	ran := false
+	for i := 0; i < 50; i++ {
+		e := New(1)
+		e.Go("unstarted", func(p *Proc) { ran = true })
+		if n := e.Shutdown(); n != 0 {
+			t.Fatalf("Shutdown = %d, want 0 (only parked procs count)", n)
+		}
+		if len(e.procs) != 0 {
+			t.Fatalf("procs = %d after Shutdown, want 0", len(e.procs))
+		}
+	}
+	if ran {
+		t.Fatal("body of a never-started process ran")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after Shutdown, want %d", n, base)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -124,11 +124,37 @@ func TestShutdownMidEventStorm(t *testing.T) {
 	e.Run() // must be a no-op, not a hang
 }
 
+// BenchmarkProcSleepWake measures one park/resume round trip of a single
+// process: schedule its wake-up, switch to the engine, switch back.
 func BenchmarkProcSleepWake(b *testing.B) {
+	b.ReportAllocs()
 	e := New(1)
 	e.Go("sleeper", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(1)
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkProcPingPong measures the pipe/MPI handoff shape: two
+// processes alternate through a pair of Signals, so every iteration is
+// two wake-ups and two process switches.
+func BenchmarkProcPingPong(b *testing.B) {
+	b.ReportAllocs()
+	e := New(1)
+	var ping, pong Signal
+	e.Go("pong", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Wait(p)
+			pong.Broadcast(e)
+		}
+	})
+	e.Go("ping", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Broadcast(e)
+			pong.Wait(p)
 		}
 	})
 	b.ResetTimer()

@@ -2,8 +2,8 @@
 //
 // The engine advances a virtual clock from event to event. Model code runs
 // either as plain event callbacks (Engine.At / Engine.After) or as
-// processes: goroutines that execute imperative model logic and suspend on
-// simulation primitives (Proc.Sleep, Signal.Wait, ...). Only one goroutine
+// processes: coroutines that execute imperative model logic and suspend on
+// simulation primitives (Proc.Sleep, Signal.Wait, ...). Only one of them
 // — the engine or exactly one process — runs at a time, so simulations are
 // fully deterministic for a given seed.
 package sim

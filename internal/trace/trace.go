@@ -100,46 +100,3 @@ func (a Attribution) Table() string {
 		}())
 	return tab.String() + fmt.Sprintf("node SMM residency (ground truth): %v\n", a.SMMResidency)
 }
-
-// Span is a labeled interval on the simulation timeline.
-type Span struct {
-	Label      string
-	Start, End sim.Time
-}
-
-// Duration reports the span length.
-func (s Span) Duration() sim.Time { return s.End - s.Start }
-
-// Recorder collects labeled spans (phases, SMM episodes, message
-// lifetimes) for timeline inspection.
-type Recorder struct {
-	spans []Span
-}
-
-// Record adds a completed span.
-func (r *Recorder) Record(label string, start, end sim.Time) {
-	r.spans = append(r.spans, Span{Label: label, Start: start, End: end})
-}
-
-// Spans returns everything recorded, in insertion order.
-func (r *Recorder) Spans() []Span { return r.spans }
-
-// Overlapping returns the spans intersecting [start, end).
-func (r *Recorder) Overlapping(start, end sim.Time) []Span {
-	var out []Span
-	for _, s := range r.spans {
-		if s.Start < end && s.End > start {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// TotalByLabel sums span durations per label.
-func (r *Recorder) TotalByLabel() map[string]sim.Time {
-	m := make(map[string]sim.Time)
-	for _, s := range r.spans {
-		m[s.Label] += s.Duration()
-	}
-	return m
-}

@@ -85,66 +85,6 @@ func TestStolenPctZeroOS(t *testing.T) {
 	}
 }
 
-func TestRecorder(t *testing.T) {
-	var r Recorder
-	r.Record("smm", 10, 20)
-	r.Record("compute", 0, 100)
-	r.Record("smm", 50, 55)
-	if len(r.Spans()) != 3 {
-		t.Fatal("spans lost")
-	}
-	if got := r.TotalByLabel()["smm"]; got != 15 {
-		t.Fatalf("smm total = %v, want 15", got)
-	}
-	ov := r.Overlapping(12, 18)
-	if len(ov) != 2 {
-		t.Fatalf("overlapping = %d, want 2 (smm + compute)", len(ov))
-	}
-	if (Span{Start: 3, End: 9}).Duration() != 6 {
-		t.Fatal("duration wrong")
-	}
-	if len(r.Overlapping(200, 300)) != 0 {
-		t.Fatal("phantom overlaps")
-	}
-}
-
-func TestOverlappingBoundaries(t *testing.T) {
-	var r Recorder
-	r.Record("left", 0, 10)    // touches query start
-	r.Record("right", 20, 30)  // touches query end
-	r.Record("inside", 12, 18) // strictly inside
-	r.Record("point", 15, 15)  // zero-length span inside
-	r.Record("edge", 10, 10)   // zero-length span on the boundary
-
-	// Half-open semantics: spans that merely touch an endpoint of
-	// [10, 20) do not intersect it; zero-length spans strictly inside do.
-	got := map[string]bool{}
-	for _, s := range r.Overlapping(10, 20) {
-		got[s.Label] = true
-	}
-	if got["left"] || got["right"] {
-		t.Fatalf("touching spans reported as overlapping: %v", got)
-	}
-	if !got["inside"] {
-		t.Fatal("interior span missed")
-	}
-	if !got["point"] {
-		t.Fatal("zero-length interior span missed")
-	}
-	if got["edge"] {
-		t.Fatal("zero-length span at the boundary should not overlap")
-	}
-
-	// A zero-length query window intersects exactly the spans that
-	// strictly contain the instant.
-	if ov := r.Overlapping(5, 5); len(ov) != 1 || ov[0].Label != "left" {
-		t.Fatalf("point query = %v, want just the covering span", ov)
-	}
-	if len(r.Overlapping(10, 10)) != 0 {
-		t.Fatal("point query at a span edge should be empty")
-	}
-}
-
 func TestSampleClampsNegativeStolen(t *testing.T) {
 	// OSTime < TrueTime cannot happen physically (the kernel charges at
 	// least the time the task progressed); a sample caught mid-update
