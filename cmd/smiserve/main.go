@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"smistudy/internal/obs"
-	"smistudy/internal/runner"
 	"smistudy/internal/serve"
 )
 
@@ -60,7 +59,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	maxQueued := fs.Int("max-queued", 0, "admitted unfinished cells before 429 (0 = 4096)")
 	cellTimeout := fs.Duration("cell-timeout", 0, "wall-clock deadline per cell (0 = none)")
 	retries := fs.Int("retries", 0, "re-run transiently-failed cells up to this many times")
-	fastpath := fs.String("fastpath", "off", "analytic fast-path dispatch: off, auto or model")
 	manifestOut := fs.String("manifest", "", "write the server's lifetime accounting manifest here at shutdown")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -70,20 +68,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	fpMode, err := runner.ParseFastPathMode(*fastpath)
-	if err != nil {
-		fmt.Fprintln(stderr, "smiserve:", err)
-		return 2
-	}
 	cfg := serve.Config{
 		StoreDir:    *storeDir,
 		Workers:     *workers,
 		MaxQueued:   *maxQueued,
 		CellTimeout: *cellTimeout,
 		Retries:     *retries,
-	}
-	if fpMode != runner.FastOff {
-		cfg.Dispatch = runner.NewDispatcher(fpMode, 0)
 	}
 
 	// The manifest is captured up front (flags + versions) and written at

@@ -52,13 +52,3 @@ func MaxLogError(rs []Residual) float64 {
 	}
 	return max
 }
-
-// AllWithin reports whether every residual passes Within(tol).
-func AllWithin(rs []Residual, tol float64) bool {
-	for _, r := range rs {
-		if !r.Within(tol) {
-			return false
-		}
-	}
-	return true
-}

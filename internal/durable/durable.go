@@ -36,13 +36,8 @@ type Options struct {
 	// (cached, retry, timeout, fail) and every simulation event from
 	// executed cells, stamped with global cell indices.
 	Tracer obs.Tracer
-	// Dispatch, when non-nil, is the analytic fast-path dispatcher every
-	// executed cell consults before building an engine. Cells the
-	// dispatcher serves are checkpointed exactly like simulated cells —
-	// the measurement is byte-identical, so the store cannot tell.
-	Dispatch *runner.Dispatcher
 	// Stats, when non-nil, accumulates execution accounting (cells,
-	// simulated runs, engine events, fast-path hits/misses).
+	// simulated runs, engine events).
 	Stats *runner.ExecStats
 }
 
@@ -58,7 +53,6 @@ type item struct {
 	specIdx int // position in the caller's spec slice
 	cellIdx int // repetition index within the parent spec
 	global  int // position across all cells of the sweep
-	runs    int // the parent spec's repetition count (fast-path hint)
 }
 
 // out is one cell's outcome. The measurement may be non-zero alongside
@@ -114,11 +108,7 @@ func RunSpecs(ctx context.Context, specs []scenario.Spec, o Options) ([]runner.M
 		}
 		plans[i] = plan{first: len(items), n: len(sp2.Cells), merge: sp2.Merge}
 		for j, c := range sp2.Cells {
-			// The parent's run count rides along so the fast-path
-			// dispatcher sees how many sibling repetitions the split
-			// cell's region serves (a Runs=1 cell alone is never worth
-			// certifying; six of them are).
-			items = append(items, item{spec: c, key: sp2.Key, specIdx: i, cellIdx: j, global: len(items), runs: sp2.Runs})
+			items = append(items, item{spec: c, key: sp2.Key, specIdx: i, cellIdx: j, global: len(items)})
 		}
 	}
 	atomic.AddInt64(&st.Cells, int64(len(items)))
@@ -201,11 +191,9 @@ func runItem(ctx context.Context, it item, o Options, st *Stats) out {
 		// Unreadable or corrupt cache entry: fall through and re-execute.
 	}
 	x := runner.Exec{
-		Workers:  1,
-		Tracer:   obs.WithRun(o.Tracer, int32(it.global)),
-		Stats:    o.Stats,
-		Dispatch: o.Dispatch,
-		RunsHint: it.runs,
+		Workers: 1,
+		Tracer:  obs.WithRun(o.Tracer, int32(it.global)),
+		Stats:   o.Stats,
 	}
 	for attempt := 1; ; attempt++ {
 		atomic.AddInt64(&st.Attempts, 1)

@@ -11,10 +11,8 @@ import (
 
 // Bench harness: the recorded perf baseline behind BENCH_sweeps.json.
 // Each table/figure sweep runs at quick scale once per requested worker
-// count, measuring wall time, heap churn and cell throughput; the
-// steady-state EP sweep additionally runs under the analytic fast path
-// so the recorded baseline tracks the dispatch speedup trajectory. A
-// final entry measures the sim engine's steady-state allocations per
+// count, measuring wall time, heap churn and cell throughput. A final
+// entry measures the sim engine's steady-state allocations per
 // scheduled event (the free list should hold this at zero). The JSON
 // this produces is committed under results/ so later optimization work
 // has a trajectory to diff against.
@@ -32,14 +30,8 @@ type BenchEntry struct {
 	Cells  int64 `json:"cells"`
 	Events int64 `json:"events"`
 	// CellsPerSec is the sweep's cell throughput — the quantity the
-	// bench comparator gates one-sidedly, and the axis the fast-path
-	// speedup shows up on.
+	// bench comparator gates one-sidedly.
 	CellsPerSec float64 `json:"cells_per_sec"`
-	// FastPath is the dispatch mode the entry ran under ("off", "auto");
-	// FastHits and FastMisses are the dispatcher's decision counts.
-	FastPath   string `json:"fastpath"`
-	FastHits   int64  `json:"fast_hits"`
-	FastMisses int64  `json:"fast_misses"`
 }
 
 // BenchReport is the full harness output.
@@ -79,15 +71,12 @@ func benchSweepSuite() []struct {
 		{"figure2_unixbench", func(c Config) error { _, err := Figure2UnixBench(c); return err }},
 		{"fault_study", func(c Config) error { _, err := FaultStudy(c); return err }},
 		{"amplification", func(c Config) error { _, err := AmplificationStudy(c); return err }},
+		{"steady_state_ep", func(c Config) error { _, err := SteadyStateEP(c); return err }},
 	}
 }
 
 // BenchSweeps runs every sweep in the suite once per worker count in
 // workerSets, at quick scale, and measures the engine's per-event cost.
-// The table and figure sweeps run with the fast path off — their quick
-// single-repetition cells are never dispatch-eligible, so "off" is also
-// what production measured. The steady-state EP sweep runs under both
-// off and auto so the baseline records the dispatch speedup.
 func BenchSweeps(cfg Config, workerSets []int) (BenchReport, error) {
 	rep := BenchReport{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
@@ -95,35 +84,12 @@ func BenchSweeps(cfg Config, workerSets []int) (BenchReport, error) {
 		Seed:       cfg.Seed,
 	}
 	cfg.Quick = true
-	type benchCase struct {
-		name     string
-		fn       func(Config) error
-		fastpath runner.FastPathMode
-	}
-	var cases []benchCase
-	for _, s := range benchSweepSuite() {
-		cases = append(cases, benchCase{s.name, s.fn, runner.FastOff})
-	}
-	steady := func(c Config) error { _, err := SteadyStateEP(c); return err }
-	cases = append(cases,
-		benchCase{"steady_state_ep", steady, runner.FastOff},
-		benchCase{"steady_state_ep", steady, runner.FastAuto},
-	)
-	for _, bc := range cases {
+	for _, bc := range benchSweepSuite() {
 		for _, w := range workerSets {
 			c := cfg
 			c.Workers = w
 			st := &runner.ExecStats{}
 			c.Stats = st
-			if bc.fastpath != runner.FastOff {
-				// A fresh dispatcher per entry: certification work is
-				// measured inside the entry that profits from it.
-				c.Dispatch = runner.NewDispatcher(bc.fastpath, 0)
-			} else {
-				// Entries labelled "off" must run undispatched even when
-				// the invocation itself passed -fastpath.
-				c.Dispatch = nil
-			}
 			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -141,9 +107,6 @@ func BenchSweeps(cfg Config, workerSets []int) (BenchReport, error) {
 				AllocBytes: after.TotalAlloc - before.TotalAlloc,
 				Cells:      st.CellsValue(),
 				Events:     st.EventsValue(),
-				FastPath:   string(bc.fastpath),
-				FastHits:   st.HitsValue(),
-				FastMisses: st.MissesValue(),
 			}
 			if secs := wall.Seconds(); secs > 0 {
 				entry.CellsPerSec = float64(entry.Cells) / secs

@@ -19,18 +19,16 @@ type SteadyPoint struct {
 // SteadyState is the regenerated SMM-off EP scaling column: the
 // baseline the paper's Tables 1–3 percent-changes are computed against,
 // isolated as its own sweep. Every cell is steady state (no SMM, no
-// faults) with the full six repetitions, which makes this the sweep the
-// analytic fast path can serve almost entirely from certified regions —
-// the bench harness runs it under -fastpath off and auto to record the
-// speedup trajectory.
+// faults) with the full six repetitions, which makes it the bench
+// harness's many-repetition, split-heavy entry.
 type SteadyState struct {
 	Points []SteadyPoint
 }
 
 // SteadyStateEP measures the EP class-A baseline over 1, 2 and 4 nodes
 // at one rank per node. Unlike the table sweeps, Quick does not shrink
-// the repetition count: repetition amortization is the sweep's subject,
-// and a steady-state EP run costs well under a millisecond.
+// the repetition count: a steady-state EP run costs well under a
+// millisecond, so the full six stay cheap.
 func SteadyStateEP(cfg Config) (SteadyState, error) {
 	nodes := []int{1, 2, 4}
 	runs := cfg.Runs

@@ -10,14 +10,11 @@ import (
 
 // BenchDelta is one baseline-vs-new comparison of a recorded sweep.
 type BenchDelta struct {
-	Name    string `json:"name"`
-	Workers int    `json:"workers"`
-	// FastPath distinguishes entries of one sweep measured under
-	// different dispatch modes (empty for pre-fast-path baselines).
-	FastPath string  `json:"fastpath,omitempty"`
-	Metric   string  `json:"metric"`
-	Old      float64 `json:"old"`
-	New      float64 `json:"new"`
+	Name    string  `json:"name"`
+	Workers int     `json:"workers"`
+	Metric  string  `json:"metric"`
+	Old     float64 `json:"old"`
+	New     float64 `json:"new"`
 	// Pct is the relative change in percent (positive = regression).
 	Pct  float64 `json:"pct"`
 	Pass bool    `json:"pass"`
@@ -36,26 +33,21 @@ func (c BenchComparison) Ok() bool { return c.Failed == 0 && len(c.Deltas) > 0 }
 // CompareBench judges a fresh BenchReport against the committed
 // baseline: per-entry wall time and allocation counts must not regress
 // by more than tolPct percent, and per-entry cell throughput
-// (cells_per_sec) must not drop by more than tolPct percent — the gate
-// that tracks the fast-path speedup trajectory once the baseline
-// records it. Improvements always pass — the gate is one-sided, because
+// (cells_per_sec) must not drop by more than tolPct percent.
+// Improvements always pass — the gate is one-sided, because
 // CI runners are slower some days and faster others, and only the bad
 // direction is a signal worth failing on. A sweep name present on one
 // side only fails (a renamed or dropped sweep would silently exit the
-// regression gate otherwise); an individual (worker count, fastpath
-// mode) present on one side only is skipped, because the parallel
-// worker count follows the measuring machine's CPU count.
+// regression gate otherwise); an individual worker count present on one
+// side only is skipped, because the parallel worker count follows the
+// measuring machine's CPU count. Both reports must hold at most one row
+// per (name, workers); LoadBenchReport enforces that.
 func CompareBench(baseline, fresh experiments.BenchReport, tolPct float64) BenchComparison {
 	cmp := BenchComparison{TolPct: tolPct}
-	type entryKey struct {
-		name     string
-		workers  int
-		fastpath string
-	}
-	oldByKey := map[entryKey]experiments.BenchEntry{}
+	oldByKey := map[benchKey]experiments.BenchEntry{}
 	oldNames := map[string]bool{}
 	for _, e := range baseline.Sweeps {
-		oldByKey[entryKey{e.Name, e.Workers, e.FastPath}] = e
+		oldByKey[benchKey{e.Name, e.Workers}] = e
 		oldNames[e.Name] = true
 	}
 	newNames := map[string]bool{}
@@ -65,17 +57,17 @@ func CompareBench(baseline, fresh experiments.BenchReport, tolPct float64) Bench
 			pct = (new - old) / old * 100
 		}
 		cmp.Deltas = append(cmp.Deltas, BenchDelta{
-			Name: e.Name, Workers: e.Workers, FastPath: e.FastPath, Metric: metric,
+			Name: e.Name, Workers: e.Workers, Metric: metric,
 			Old: old, New: new, Pct: pct, Pass: pct <= tolPct,
 		})
 	}
 	for _, e := range fresh.Sweeps {
 		newNames[e.Name] = true
-		old, ok := oldByKey[entryKey{e.Name, e.Workers, e.FastPath}]
+		old, ok := oldByKey[benchKey{e.Name, e.Workers}]
 		if !ok {
 			if !oldNames[e.Name] {
 				cmp.Deltas = append(cmp.Deltas, BenchDelta{Name: e.Name, Workers: e.Workers,
-					FastPath: e.FastPath, Metric: "missing-in-baseline", New: e.WallMS})
+					Metric: "missing-in-baseline", New: e.WallMS})
 			}
 			continue
 		}
@@ -142,7 +134,15 @@ func (c BenchComparison) JSON() ([]byte, error) {
 	return json.MarshalIndent(c, "", "  ")
 }
 
-// LoadBenchReport parses a BENCH_sweeps.json document.
+// benchKey identifies one row of a bench report.
+type benchKey struct {
+	name    string
+	workers int
+}
+
+// LoadBenchReport parses a BENCH_sweeps.json document. A report with
+// two rows for one (name, workers) is rejected: CompareBench matches
+// rows by that key, so a duplicate would silently stand in for its twin.
 func LoadBenchReport(data []byte) (experiments.BenchReport, error) {
 	var r experiments.BenchReport
 	if err := json.Unmarshal(data, &r); err != nil {
@@ -150,6 +150,14 @@ func LoadBenchReport(data []byte) (experiments.BenchReport, error) {
 	}
 	if len(r.Sweeps) == 0 {
 		return r, fmt.Errorf("fidelity: bench report has no sweep entries")
+	}
+	seen := map[benchKey]bool{}
+	for _, e := range r.Sweeps {
+		k := benchKey{e.Name, e.Workers}
+		if seen[k] {
+			return r, fmt.Errorf("fidelity: bench report has two rows for %s at workers=%d", e.Name, e.Workers)
+		}
+		seen[k] = true
 	}
 	return r, nil
 }

@@ -49,11 +49,6 @@ type Config struct {
 	// against <dir>/<artifact>.json. Quick tier with default seeds
 	// only: goldens pin the deterministic quick run.
 	GoldenDir string
-	// Dispatch, when non-nil, is the analytic fast-path dispatcher every
-	// sweep cell consults (see runner dispatch.go). Auto mode is
-	// byte-identical to simulation, so goldens must pass unchanged with
-	// it on — exactly what CI asserts.
-	Dispatch *runner.Dispatcher
 	// Stats, when non-nil, accumulates execution accounting across every
 	// artifact's cells.
 	Stats *runner.ExecStats
@@ -92,7 +87,6 @@ func (c Config) expCfg(seed int64) experiments.Config {
 		Quick:    !c.Full,
 		Workers:  c.Workers,
 		SMIScale: c.SMIScale,
-		Dispatch: c.Dispatch,
 		Stats:    c.Stats,
 	}
 }
@@ -206,7 +200,6 @@ func Validate(cfg Config) (*Report, error) {
 	if len(rep.Artifacts) == 0 {
 		return nil, fmt.Errorf("fidelity: no artifacts selected")
 	}
-	rep.FastPath = cfg.Dispatch.Stats()
 	return rep, nil
 }
 

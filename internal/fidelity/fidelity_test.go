@@ -198,4 +198,40 @@ func TestLoadBenchReport(t *testing.T) {
 	if _, err := LoadBenchReport([]byte(`{"sweeps": [{"name":"x","workers":1,"wall_ms":1}]}`)); err != nil {
 		t.Fatal(err)
 	}
+	// CompareBench keys rows by (name, workers): a second row with the
+	// same key would replace its twin as the baseline, so it is refused.
+	dup := `{"sweeps": [{"name":"x","workers":1,"wall_ms":1},{"name":"x","workers":4,"wall_ms":1},{"name":"x","workers":1,"wall_ms":2}]}`
+	if _, err := LoadBenchReport([]byte(dup)); err == nil || !strings.Contains(err.Error(), "two rows for x at workers=1") {
+		t.Fatalf("duplicate (name, workers) row: err = %v", err)
+	}
+	// The committed baseline loads, and compared with itself every row
+	// is judged on wall time and mallocs, every row with a throughput on
+	// cells/sec, and all of it passes.
+	data, err := os.ReadFile(filepath.Join("..", "..", "results", "BENCH_sweeps.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := LoadBenchReport(data)
+	if err != nil {
+		t.Fatalf("committed baseline: %v", err)
+	}
+	cmp := CompareBench(base, base, 15)
+	if !cmp.Ok() {
+		t.Fatalf("baseline vs itself failed:\n%s", cmp.Render())
+	}
+	judged := map[string]int{}
+	for _, d := range cmp.Deltas {
+		judged[d.Metric]++
+	}
+	withRate := 0
+	for _, e := range base.Sweeps {
+		if e.CellsPerSec > 0 {
+			withRate++
+		}
+	}
+	for metric, want := range map[string]int{"wall_ms": len(base.Sweeps), "mallocs": len(base.Sweeps), "cells_per_sec_drop": withRate} {
+		if judged[metric] != want {
+			t.Errorf("%s judged on %d rows, want %d", metric, judged[metric], want)
+		}
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"smistudy/internal/metrics"
-	"smistudy/internal/obs"
 )
 
 // Check is one judged gate: a measured quantity against its acceptance
@@ -44,11 +43,6 @@ type Report struct {
 	Checks    []Check  `json:"checks"`
 	Passed    int      `json:"passed"`
 	Failed    int      `json:"failed"`
-	// FastPath, when present, is the analytic fast-path dispatcher's
-	// accounting for the run — the audit trail of which cells were
-	// served without simulation and why the rest declined. Absent when
-	// the run dispatched with -fastpath off.
-	FastPath *obs.FastPathStats `json:"fastpath,omitempty"`
 }
 
 func (r *Report) add(c Check) {
@@ -92,10 +86,6 @@ func (r Report) Render() string {
 		tab.AddRow(c.Artifact, c.Name, c.Kind, c.Got, c.Want, c.Tol, status)
 	}
 	b.WriteString(tab.String())
-	if f := r.FastPath; f != nil {
-		fmt.Fprintf(&b, "\nFast path (%s): %d/%d cells served (%.0f%% hit rate), %d regions (%d certified, %d rejected), %d certification sims\n",
-			f.Mode, f.Hits, f.Hits+f.Misses, f.HitRate()*100, f.Regions, f.Certified, f.Rejected, f.Probes+f.Shadows)
-	}
 	if r.Failed > 0 {
 		b.WriteString("\nFailures:\n")
 		for _, c := range r.Checks {

@@ -24,8 +24,8 @@ import (
 // LoadManifest accepts both (the backward-compat test pins that old
 // documents still load and replay).
 //
-//	1  PR 3: command, flags, versions (+ durable/fastpath blocks later)
-//	2  PR 8: schema field itself, obs sink-loss stats, scenario echo
+//	1  command, flags, versions (+ durable block later)
+//	2  schema field itself, obs sink-loss stats, scenario echo
 const ManifestSchema = 2
 
 type Manifest struct {
@@ -59,14 +59,6 @@ type Manifest struct {
 	// by cmd/smiserve at shutdown; absent for every other command,
 	// keeping legacy manifests byte-identical.
 	Serve *ServeStats `json:"serve,omitempty"`
-	// FastPath, when present, records the analytic fast-path
-	// dispatcher's accounting for the run: which cells were served
-	// without simulation, why the rest declined, and the residual
-	// evidence behind every certified region. Attached after the run so
-	// smivalidate can audit exactly what the fast path did. Absent when
-	// the run dispatched with -fastpath off, keeping legacy manifests
-	// byte-identical.
-	FastPath *FastPathStats `json:"fastpath,omitempty"`
 }
 
 // SinkStats records where the run's observability outputs could have
@@ -89,39 +81,6 @@ type SinkStats struct {
 // Lossy reports whether any sink lost or may have lost events.
 func (s *SinkStats) Lossy() bool {
 	return s != nil && (s.TraceError != "" || s.RingDropped > 0)
-}
-
-// FastPathStats is the analytic fast-path dispatcher's per-run
-// accounting, as recorded in the run manifest. Cells = Hits + Misses;
-// Regions = Certified + Rejected once the run finishes.
-type FastPathStats struct {
-	// Mode is the dispatch mode the run used (off, auto or model).
-	Mode string `json:"mode"`
-	// Hits counts cells served without discrete simulation; Misses
-	// counts cells that simulated (with per-reason breakdown below).
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	// Probes and Shadows count the certification simulations the
-	// dispatcher spent proving regions.
-	Probes  int64 `json:"probes"`
-	Shadows int64 `json:"shadows"`
-	// Regions counts distinct spec shapes the dispatcher examined;
-	// Certified passed the seed-independence and residual gates,
-	// Rejected failed one of them.
-	Regions   int64 `json:"regions"`
-	Certified int64 `json:"certified"`
-	Rejected  int64 `json:"rejected"`
-	// MissReasons breaks Misses down by decline reason. Go serializes
-	// the map with sorted keys, keeping manifests deterministic.
-	MissReasons map[string]int64 `json:"miss_reasons,omitempty"`
-}
-
-// HitRate reports Hits/(Hits+Misses), or 0 for an idle dispatcher.
-func (f *FastPathStats) HitRate() float64 {
-	if f == nil || f.Hits+f.Misses == 0 {
-		return 0
-	}
-	return float64(f.Hits) / float64(f.Hits+f.Misses)
 }
 
 // ServeStats is a sweep server's lifetime accounting, as recorded in

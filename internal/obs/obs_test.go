@@ -143,7 +143,7 @@ func TestWithRun(t *testing.T) {
 		t.Fatalf("run = %d, want 7", got)
 	}
 	if WithRun(nil, 3) != nil {
-		t.Fatal("WithRun(nil) must stay nil (fast-path contract)")
+		t.Fatal("WithRun(nil) must stay nil (untraced zero-cost contract)")
 	}
 }
 

@@ -31,10 +31,8 @@ const (
 	TidSMM       int32 = 1000 // ground-truth SMM residency spans
 	TidSteal0    int32 = 1100 // core-scoped steal spans for CPU c land on TidSteal0+c
 
-	// Cluster-process tracks (node = -1): the sweep-cell timeline and
-	// the fast-path dispatcher's decision stream.
-	TidCells    int32 = 1
-	TidFastPath int32 = 2
+	// Cluster-process track (node = -1): the sweep-cell timeline.
+	TidCells int32 = 1
 )
 
 // TrackKind classifies a (node, tid) timeline.
@@ -44,7 +42,6 @@ type TrackKind uint8
 const (
 	TrackUnknown   TrackKind = iota
 	TrackCells               // cluster: sweep-cell spans
-	TrackFastPath            // cluster: dispatcher decisions
 	TrackCPU                 // per-node: one logical CPU's scheduling
 	TrackRank                // per-node: one MPI rank's traffic
 	TrackNet                 // per-node: fabric activity
@@ -61,8 +58,6 @@ func (k TrackKind) String() string {
 	switch k {
 	case TrackCells:
 		return "cells"
-	case TrackFastPath:
-		return "fastpath"
 	case TrackCPU:
 		return "cpu"
 	case TrackRank:
@@ -91,11 +86,8 @@ func (k TrackKind) String() string {
 // decoded SplitPid node; cluster processes use node -1.
 func TrackOf(node, tid int32) (TrackKind, int) {
 	if node < 0 {
-		switch tid {
-		case TidCells:
+		if tid == TidCells {
 			return TrackCells, 0
-		case TidFastPath:
-			return TrackFastPath, 0
 		}
 		return TrackUnknown, 0
 	}

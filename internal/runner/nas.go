@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"smistudy/internal/analytic"
 	"smistudy/internal/cluster"
 	"smistudy/internal/faults"
 	"smistudy/internal/metrics"
@@ -224,12 +223,8 @@ func init() {
 			}
 			return Measurement{NAS: &res}, err
 		},
-		Split:     splitNASSpec,
-		Merge:     mergeNASSpec,
-		Replicate: replicateNASSpec,
-		Predict:   predictNASSpec,
-		Seconds:   secondsNAS,
-		Analytic:  analyticNASSpec,
+		Split: splitNASSpec,
+		Merge: mergeNASSpec,
 	})
 }
 
@@ -332,97 +327,4 @@ func nasOptions(sp scenario.Spec, x Exec) (NASOptions, error) {
 		Tracer:       x.Tracer,
 		Stats:        x.Stats,
 	}, nil
-}
-
-// replicateNASSpec rebuilds the measurement simulating the single-
-// repetition target would produce from a prototype of the same region.
-// Legal only for seed-independent regions (the dispatcher proves that
-// before serving): everything in a steady-state NAS cell except the
-// serialized seed is a pure function of the region shape.
-func replicateNASSpec(target scenario.Spec, proto Measurement) (Measurement, error) {
-	if target.Runs > 1 {
-		return Measurement{}, fmt.Errorf("runner: nas replicate serves single-repetition cells (got runs=%d)", target.Runs)
-	}
-	if proto.NAS == nil || len(proto.NAS.Times) != 1 {
-		return Measurement{}, fmt.Errorf("runner: nas replicate needs a single-run NAS prototype")
-	}
-	o, err := nasOptions(target, Exec{})
-	if err != nil {
-		return Measurement{}, err
-	}
-	res := *proto.NAS
-	res.Options = o
-	res.Times = append([]sim.Time(nil), proto.NAS.Times...)
-	return Measurement{NAS: &res}, nil
-}
-
-// predictNASSpec is the closed-form runtime model behind the fast
-// path's residual gate. Only the embarrassingly-parallel regime is
-// covered — EP without hyper-threading, at most one rank per physical
-// core — where compute divides evenly across ranks at the solo cache
-// profile and communication is three latency-bound all-reduces. Every
-// other shape returns an error, rejecting the region ("no_model").
-func predictNASSpec(sp scenario.Spec) (float64, error) {
-	o, err := nasOptions(sp, Exec{})
-	if err != nil {
-		return 0, err
-	}
-	if o.Bench != nas.EP {
-		return 0, fmt.Errorf("runner: analytic model covers EP only (got %s)", o.Bench)
-	}
-	if o.HTT {
-		return 0, fmt.Errorf("runner: analytic model assumes no hyper-threading")
-	}
-	if len(o.Jitter) > 0 {
-		return 0, fmt.Errorf("runner: analytic model does not cover jitter noise")
-	}
-	cp := cluster.Wyeast(o.Nodes, o.HTT, o.SMM)
-	if o.RanksPerNode > cp.Node.CPU.PhysCores {
-		return 0, fmt.Errorf("runner: analytic model needs one rank per physical core (got %d ranks on %d cores)",
-			o.RanksPerNode, cp.Node.CPU.PhysCores)
-	}
-	prof := nas.Profile(o.Bench)
-	cell := analytic.EPCell{
-		TotalOps:    nas.TotalOps(nas.Spec{Bench: o.Bench, Class: o.Class}),
-		Ranks:       o.Nodes * o.RanksPerNode,
-		RatePerRank: cp.Node.CPU.BaseHz / (prof.CPI + prof.MissRate*cp.Node.CPU.MissPenalty),
-		Latency:     cp.Fabric.Latency,
-		Collectives: 3,
-	}
-	return cell.Time()
-}
-
-// secondsNAS extracts the simulated mean seconds the residual gate
-// compares against the prediction.
-func secondsNAS(m Measurement) (float64, bool) {
-	if m.NAS == nil {
-		return 0, false
-	}
-	return m.NAS.Seconds(), true
-}
-
-// analyticNASSpec synthesizes the opt-in "model" tier's measurement:
-// the closed-form predicted runtime in the shape of a measured cell.
-func analyticNASSpec(sp scenario.Spec, predictedSeconds float64) (Measurement, error) {
-	o, err := nasOptions(sp, Exec{})
-	if err != nil {
-		return Measurement{}, err
-	}
-	runs := o.Runs
-	if runs <= 0 {
-		runs = 1
-	}
-	t := sim.FromSeconds(predictedSeconds)
-	res := NASResult{
-		Options:  o,
-		Ranks:    o.Nodes * o.RanksPerNode,
-		MeanTime: t,
-		Times:    make([]sim.Time, runs),
-		MOPs:     nas.MOPs(nas.Spec{Bench: o.Bench, Class: o.Class}, predictedSeconds),
-		Verified: true,
-	}
-	for i := range res.Times {
-		res.Times[i] = t
-	}
-	return Measurement{NAS: &res}, nil
 }

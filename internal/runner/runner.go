@@ -53,18 +53,9 @@ type Exec struct {
 	// *obs.Bus is) when Workers > 1.
 	Tracer obs.Tracer
 	// Stats, when non-nil, accumulates execution accounting (cells,
-	// simulated runs, engine events, fast-path hits/misses) across every
-	// cell run under it. Shared safely by concurrent workers.
+	// simulated runs, engine events) across every cell run under it.
+	// Shared safely by concurrent workers.
 	Stats *ExecStats
-	// Dispatch, when non-nil, is the analytic fast-path dispatcher
-	// consulted before any engine is built (see dispatch.go). Nil means
-	// -fastpath off: every cell simulates.
-	Dispatch *Dispatcher
-	// RunsHint tells the dispatcher how many sibling repetitions the
-	// cell's region is expected to serve when the spec itself no longer
-	// says (the durable layer splits multi-run specs into Runs=1 cells
-	// before dispatch). Zero means "trust sp.Runs".
-	RunsHint int
 }
 
 // Run executes a scenario spec through the workload registry with
@@ -83,15 +74,6 @@ func RunWith(sp scenario.Spec, x Exec) (Measurement, error) {
 	}
 	w, _ := Lookup(sp.Workload)
 	x.Stats.addCell()
-	// Analytic fast path: a certified steady-state region serves the
-	// cell without building an engine; everything else simulates. The
-	// dispatcher can decline but never fail — a certification problem
-	// falls through to the discrete simulation below.
-	if m, served := x.Dispatch.try(sp, x, w); served {
-		m.Name = sp.Name
-		m.Workload = sp.Workload
-		return m, nil
-	}
 	m, err := w.Run(sp, x)
 	m.Name = sp.Name
 	m.Workload = sp.Workload

@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"bytes"
 	"errors"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -132,6 +134,45 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if docs[0] != docs[2] {
 		t.Fatal("worker count changed the measurement")
+	}
+}
+
+// TestScenarioDispatchEquivalence: every example scenario serializes
+// byte-identically whether its repetitions run sequentially or are
+// dispatched over four workers. Scenarios whose runs fail (the faulted
+// example) must fail identically both ways.
+func TestScenarioDispatchEquivalence(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example scenarios found: %v", err)
+	}
+	for _, file := range files {
+		t.Run(filepath.Base(file), func(t *testing.T) {
+			sp, err := scenario.Load(file)
+			if err != nil {
+				t.Fatalf("load: %v", err)
+			}
+			run := func(workers int) ([]byte, string) {
+				m, err := RunWith(sp, Exec{Workers: workers})
+				errStr := ""
+				if err != nil {
+					errStr = err.Error()
+				}
+				data, jerr := m.JSON()
+				if jerr != nil {
+					t.Fatalf("encode: %v", jerr)
+				}
+				return data, errStr
+			}
+			want, wantErr := run(1)
+			got, gotErr := run(4)
+			if gotErr != wantErr {
+				t.Errorf("workers=4: error %q, want %q", gotErr, wantErr)
+			}
+			if !bytes.Equal(got, want) {
+				t.Error("workers=4: measurement differs from the sequential run")
+			}
+		})
 	}
 }
 
